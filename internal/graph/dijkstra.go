@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 const infDelay = math.MaxFloat64
 
@@ -13,17 +10,45 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap on dist. push and pop sift exactly as
+// container/heap's up and down do, so items of equal dist pop in the same
+// order they would from heap.Push/heap.Pop — which is what decides among
+// equal-delay paths — without boxing every item in an interface.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	*q = h[:n]
 	return it
 }
 
@@ -37,16 +62,25 @@ func (q *pq) Pop() interface{} {
 func (g *Graph) ShortestPathTree(src NodeID, linkMask, nodeMask *Mask) ([]float64, []LinkID) {
 	dist := make([]float64, g.NumNodes())
 	prev := make([]LinkID, g.NumNodes())
+	g.shortestPathTree(src, linkMask, nodeMask, dist, prev, make(pq, 0, g.NumNodes()))
+	return dist, prev
+}
+
+// shortestPathTree is ShortestPathTree into caller-owned buffers: dist
+// and prev of length NumNodes, and q as the (emptied) queue's backing
+// store. It returns the queue so a caller running many trees can reuse
+// its grown capacity.
+func (g *Graph) shortestPathTree(src NodeID, linkMask, nodeMask *Mask, dist []float64, prev []LinkID, q pq) pq {
 	for i := range dist {
 		dist[i] = infDelay
 		prev[i] = -1
 	}
 	dist[src] = 0
 
-	q := make(pq, 0, g.NumNodes())
-	heap.Push(&q, pqItem{node: src, dist: 0})
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	q = q[:0]
+	q.push(pqItem{node: src, dist: 0})
+	for len(q) > 0 {
+		it := q.pop()
 		if it.dist > dist[it.node] {
 			continue // stale entry
 		}
@@ -62,11 +96,11 @@ func (g *Graph) ShortestPathTree(src NodeID, linkMask, nodeMask *Mask) ([]float6
 			if nd < dist[l.To] {
 				dist[l.To] = nd
 				prev[l.To] = lid
-				heap.Push(&q, pqItem{node: l.To, dist: nd})
+				q.push(pqItem{node: l.To, dist: nd})
 			}
 		}
 	}
-	return dist, prev
+	return q
 }
 
 // ShortestPath returns the minimum-delay path src -> dst under the optional
@@ -84,17 +118,24 @@ func (g *Graph) ShortestPath(src, dst NodeID, linkMask, nodeMask *Mask) (Path, b
 
 // extractPath walks prev links backwards from dst to src.
 func extractPath(g *Graph, prev []LinkID, src, dst NodeID, delay float64) Path {
-	var rev []LinkID
-	for at := dst; at != src; {
+	return Path{Links: treePath(g, nil, prev, src, dst), Delay: delay}
+}
+
+// treePath returns a new, exactly sized slice holding prefix followed by
+// the tree path src -> dst recorded in prev.
+func treePath(g *Graph, prefix, prev []LinkID, src, dst NodeID) []LinkID {
+	hops := 0
+	for at := dst; at != src; at = g.links[prev[at]].From {
+		hops++
+	}
+	links := make([]LinkID, len(prefix)+hops)
+	copy(links, prefix)
+	for at, i := dst, len(links)-1; at != src; i-- {
 		lid := prev[at]
-		rev = append(rev, lid)
+		links[i] = lid
 		at = g.links[lid].From
 	}
-	links := make([]LinkID, len(rev))
-	for i, lid := range rev {
-		links[len(rev)-1-i] = lid
-	}
-	return Path{Links: links, Delay: delay}
+	return links
 }
 
 // AllShortestPaths returns the shortest path for every ordered node pair

@@ -1,9 +1,5 @@
 package graph
 
-import (
-	"container/heap"
-)
-
 // KSP incrementally enumerates the k shortest loop-free paths between one
 // node pair in increasing delay order (Yen's algorithm). Paths are computed
 // lazily: asking for path i only does the work needed to reach i. This
@@ -16,8 +12,11 @@ type KSP struct {
 	src, dst NodeID
 	baseMask *Mask
 
-	found     []Path
-	cand      candHeap
+	found []Path
+	cand  candHeap
+	// seen holds the key of every path found or queued. It is made with
+	// the first spur search: most pairs are only ever asked for their
+	// shortest path, and a cache holds one enumerator per pair.
 	seen      map[string]bool
 	exhausted bool
 }
@@ -28,21 +27,48 @@ func NewKSP(g *Graph, src, dst NodeID, baseMask *Mask) *KSP {
 	return &KSP{
 		g: g, src: src, dst: dst,
 		baseMask: baseMask,
-		seen:     make(map[string]bool),
 	}
 }
 
+// candHeap is a binary min-heap of candidate paths on Delay. Like pq, it
+// sifts exactly as container/heap does, so among equal-delay candidates
+// the same one pops first.
 type candHeap []Path
 
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return h[i].Delay < h[j].Delay }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(Path)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	*h = old[:n-1]
+func (h *candHeap) push(p Path) {
+	c := append(*h, p)
+	for j := len(c) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(c[j].Delay < c[i].Delay) {
+			break
+		}
+		c[i], c[j] = c[j], c[i]
+		j = i
+	}
+	*h = c
+}
+
+func (h *candHeap) pop() Path {
+	c := *h
+	n := len(c) - 1
+	c[0], c[n] = c[n], c[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && c[j2].Delay < c[j].Delay {
+			j = j2 // right child
+		}
+		if !(c[j].Delay < c[i].Delay) {
+			break
+		}
+		c[i], c[j] = c[j], c[i]
+		i = j
+	}
+	p := c[n]
+	c[n] = Path{} // drop the reference held past the new length
+	*h = c[:n]
 	return p
 }
 
@@ -82,9 +108,20 @@ func (k *KSP) generateNext() {
 			return
 		}
 		k.found = append(k.found, sp)
-		k.seen[sp.Key()] = true
 		return
 	}
+	if k.seen == nil {
+		k.seen = map[string]bool{k.found[0].Key(): true}
+	}
+
+	// Scratch shared by this step's spur searches; nothing outlives it.
+	n := k.g.NumNodes()
+	dist := make([]float64, n)
+	tree := make([]LinkID, n)
+	q := make(pq, 0, n)
+	linkMask := k.baseMask.Clone()
+	nodeMask := NewMask(n)
+	var keyBuf []byte
 
 	prev := k.found[len(k.found)-1]
 	rootDelay := 0.0
@@ -95,37 +132,40 @@ func (k *KSP) generateNext() {
 		}
 		rootLinks := prev.Links[:i]
 
-		linkMask := k.baseMask.Clone()
+		clear(linkMask.bits)
+		if k.baseMask != nil {
+			copy(linkMask.bits, k.baseMask.bits)
+		}
 		for _, p := range k.found {
 			if hasPrefix(p.Links, rootLinks) && len(p.Links) > i {
 				linkMask.Set(int32(p.Links[i]))
 			}
 		}
-		nodeMask := NewMask(k.g.NumNodes())
+		clear(nodeMask.bits)
 		at := k.src
 		for _, lid := range rootLinks {
 			nodeMask.Set(int32(at))
 			at = k.g.Link(lid).To
 		}
 
-		if spur, ok := k.g.ShortestPath(spurNode, k.dst, linkMask, nodeMask); ok && !spur.Empty() {
-			links := make([]LinkID, 0, len(rootLinks)+len(spur.Links))
-			links = append(links, rootLinks...)
-			links = append(links, spur.Links...)
-			cand := Path{Links: links, Delay: rootDelay + spur.Delay}
-			if key := cand.Key(); !k.seen[key] {
-				k.seen[key] = true
-				heap.Push(&k.cand, cand)
+		q = k.g.shortestPathTree(spurNode, linkMask, nodeMask, dist, tree, q)
+		if dist[k.dst] != infDelay {
+			links := treePath(k.g, rootLinks, tree, spurNode, k.dst)
+			cand := Path{Links: links, Delay: rootDelay + dist[k.dst]}
+			keyBuf = cand.appendKey(keyBuf[:0])
+			if !k.seen[string(keyBuf)] {
+				k.seen[string(keyBuf)] = true
+				k.cand.push(cand)
 			}
 		}
 		rootDelay += k.g.Link(prev.Links[i]).Delay
 	}
 
-	if k.cand.Len() == 0 {
+	if len(k.cand) == 0 {
 		k.exhausted = true
 		return
 	}
-	k.found = append(k.found, heap.Pop(&k.cand).(Path))
+	k.found = append(k.found, k.cand.pop())
 }
 
 func hasPrefix(links, prefix []LinkID) bool {

@@ -210,6 +210,16 @@ func TestKSPFirst(t *testing.T) {
 }
 
 func BenchmarkKSPGrid(b *testing.B) {
+	g := benchGrid()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ksp := NewKSP(g, 0, NodeID(g.NumNodes()-1), nil)
+		ksp.First(10)
+	}
+}
+
+// benchGrid is the 6x6 unit-delay grid the path benchmarks run on.
+func benchGrid() *Graph {
 	bld := NewBuilder("grid")
 	const w, h = 6, 6
 	ids := make([]NodeID, w*h)
@@ -228,10 +238,15 @@ func BenchmarkKSPGrid(b *testing.B) {
 			}
 		}
 	}
-	g := bld.MustBuild()
+	return bld.MustBuild()
+}
+
+// BenchmarkShortestPathTree runs one unmasked Dijkstra per op, cycling
+// through every source of the grid.
+func BenchmarkShortestPathTree(b *testing.B) {
+	g := benchGrid()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ksp := NewKSP(g, 0, NodeID(w*h-1), nil)
-		ksp.First(10)
+		g.ShortestPathTree(NodeID(i%g.NumNodes()), nil, nil)
 	}
 }

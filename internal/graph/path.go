@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -87,12 +88,15 @@ func (p Path) Equal(q Path) bool {
 }
 
 // Key returns a compact string key for the link sequence, for dedup maps.
-func (p Path) Key() string {
-	var sb strings.Builder
+func (p Path) Key() string { return string(p.appendKey(nil)) }
+
+// appendKey appends Key's bytes to b.
+func (p Path) appendKey(b []byte) []byte {
 	for _, l := range p.Links {
-		fmt.Fprintf(&sb, "%d,", l)
+		b = strconv.AppendInt(b, int64(l), 10)
+		b = append(b, ',')
 	}
-	return sb.String()
+	return b
 }
 
 // Format renders the path as "A -> B -> C (12.3 ms)".

@@ -509,3 +509,36 @@ func BenchmarkSolveMedium(b *testing.B) {
 		}
 	}
 }
+
+// benchProblem is a random LP with shifted lower bounds and mixed-sign
+// rows, so newSimplex exercises every row normalization.
+func benchProblem() *Problem {
+	rng := rand.New(rand.NewSource(5))
+	p := NewProblem()
+	const nVars, nRows, perRow = 240, 80, 12
+	for j := 0; j < nVars; j++ {
+		lo := 0.0
+		if j%3 == 0 {
+			lo = rng.Float64()
+		}
+		p.AddVar(lo, lo+1+rng.Float64(), rng.Float64()-0.5)
+	}
+	ops := []Op{LE, GE, EQ}
+	for i := 0; i < nRows; i++ {
+		terms := make([]Term, perRow)
+		for k := range terms {
+			terms[k] = Term{Var: rng.Intn(nVars), Coeff: rng.Float64()*2 - 1}
+		}
+		p.AddConstraint(ops[i%len(ops)], rng.Float64()*4-2, terms...)
+	}
+	return p
+}
+
+// BenchmarkNewSimplex builds the initial tableau of benchProblem.
+func BenchmarkNewSimplex(b *testing.B) {
+	p := benchProblem()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newSimplex(p)
+	}
+}

@@ -36,51 +36,44 @@ func newSimplex(p *Problem) *simplex {
 	nStruct := len(p.obj)
 
 	// Shift variables to lower bound 0 and fold the shift into each
-	// row's rhs; normalize rows so rhs >= 0.
-	type normRow struct {
-		coef []float64 // dense over structural vars
-		op   Op
-		rhs  float64
-	}
-	rows := make([]normRow, len(p.rows))
-	for i, r := range p.rows {
-		nr := normRow{coef: make([]float64, nStruct), op: r.op, rhs: r.rhs}
-		for _, t := range r.terms {
-			nr.coef[t.Var] += t.Coeff
-			nr.rhs -= t.Coeff * p.lo[t.Var]
-		}
-		if nr.rhs < 0 {
-			for j := range nr.coef {
-				nr.coef[j] = -nr.coef[j]
-			}
-			nr.rhs = -nr.rhs
-			switch nr.op {
-			case LE:
-				nr.op = GE
-			case GE:
-				nr.op = LE
-			}
-		}
-		rows[i] = nr
-	}
-
-	// Count columns: slacks for LE/GE, artificials for GE/EQ.
+	// row's rhs; rows whose shifted rhs is negative are negated (and
+	// their inequality flipped) so every rhs is >= 0.
+	m := len(p.rows)
+	ops := make([]Op, m)
+	neg := make([]bool, m)
+	bhat := make([]float64, m)
 	nSlack, nArt := 0, 0
-	for _, r := range rows {
-		if r.op == LE || r.op == GE {
+	for i, r := range p.rows {
+		rhs := r.rhs
+		for _, t := range r.terms {
+			rhs -= t.Coeff * p.lo[t.Var]
+		}
+		op := r.op
+		if rhs < 0 {
+			neg[i] = true
+			rhs = -rhs
+			switch op {
+			case LE:
+				op = GE
+			case GE:
+				op = LE
+			}
+		}
+		ops[i], bhat[i] = op, rhs
+		// Count columns: slacks for LE/GE, artificials for GE/EQ.
+		if op == LE || op == GE {
 			nSlack++
 		}
-		if r.op == GE || r.op == EQ {
+		if op == GE || op == EQ {
 			nArt++
 		}
 	}
-	m := len(rows)
 	n := nStruct + nSlack + nArt
 
 	s := &simplex{
 		m: m, n: n,
 		tab:      make([][]float64, m),
-		bhat:     make([]float64, m),
+		bhat:     bhat,
 		zrow:     make([]float64, n),
 		u:        make([]float64, n),
 		flipped:  make([]bool, n),
@@ -100,13 +93,21 @@ func newSimplex(p *Problem) *simplex {
 		s.u[j] = math.Inf(1)
 	}
 
+	// Every row is written straight into one m x n backing array.
+	cells := make([]float64, m*n)
 	slack := nStruct
 	art := s.artStart
-	for i, r := range rows {
-		row := make([]float64, n)
-		copy(row, r.coef)
-		s.bhat[i] = r.rhs
-		switch r.op {
+	for i, r := range p.rows {
+		row := cells[i*n : (i+1)*n : (i+1)*n]
+		for _, t := range r.terms {
+			row[t.Var] += t.Coeff
+		}
+		if neg[i] {
+			for j := 0; j < nStruct; j++ {
+				row[j] = -row[j]
+			}
+		}
+		switch ops[i] {
 		case LE:
 			row[slack] = 1
 			s.setBasic(i, slack)

@@ -22,6 +22,10 @@ type B4 struct {
 	Quanta int
 	// MaxPaths bounds each aggregate's path list. Default 32.
 	MaxPaths int
+	// Cache optionally shares k-shortest-path state with other
+	// placements on the same topology; the waterfill's path lists depend
+	// only on the topology, never on load.
+	Cache *PathCache
 }
 
 // Name implements Scheme.
@@ -30,6 +34,14 @@ func (b B4) Name() string {
 		return "b4+hr"
 	}
 	return "b4"
+}
+
+// WithPathCache implements CacheableScheme; an explicitly set cache wins.
+func (b B4) WithPathCache(c *PathCache) Scheme {
+	if b.Cache == nil {
+		b.Cache = c
+	}
+	return b
 }
 
 func (b B4) withDefaults() B4 {
@@ -42,10 +54,36 @@ func (b B4) withDefaults() B4 {
 	return b
 }
 
+// b4Agg is one aggregate's waterfill state.
+type b4Agg struct {
+	src, dst  graph.NodeID
+	paths     []graph.Path // the shortest paths read so far
+	pathIdx   int
+	remaining float64   // quanta left to place
+	placed    []float64 // quanta placed, indexed by path index
+	stuck     bool
+}
+
+// path returns the aggregate's idx-th shortest path, reading through the
+// cache only when idx is past the paths already read.
+func (st *b4Agg) path(c *PathCache, idx int) (graph.Path, bool) {
+	if idx >= len(st.paths) {
+		st.paths = c.Paths(st.src, st.dst, idx+1)
+		if idx >= len(st.paths) {
+			return graph.Path{}, false
+		}
+	}
+	return st.paths[idx], true
+}
+
 // Place implements Scheme.
 func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	b = b.withDefaults()
-	if _, err := shortestDelays(g, m); err != nil {
+	cache := b.Cache
+	if cache == nil {
+		cache = NewPathCache(g)
+	}
+	if _, err := shortestDelaysCached(cache, g, m); err != nil {
 		return nil, err
 	}
 
@@ -54,19 +92,13 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 		spare[i] = l.Capacity * (1 - b.Headroom)
 	}
 
-	type aggState struct {
-		ksp       *graph.KSP
-		pathIdx   int
-		remaining float64         // quanta left to place
-		placed    map[int]float64 // path index -> quanta placed
-		stuck     bool
-	}
-	states := make([]*aggState, m.Len())
+	states := make([]*b4Agg, m.Len())
 	for i, a := range m.Aggregates {
-		states[i] = &aggState{
-			ksp:       graph.NewKSP(g, a.Src, a.Dst, nil),
+		states[i] = &b4Agg{
+			src:       a.Src,
+			dst:       a.Dst,
 			remaining: float64(b.Quanta),
-			placed:    make(map[int]float64),
+			placed:    make([]float64, b.MaxPaths),
 		}
 	}
 
@@ -82,8 +114,12 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 				}
 				quantum := m.Aggregates[i].Volume / float64(b.Quanta)
 				for {
-					path, ok := st.ksp.At(st.pathIdx)
-					if !ok || st.pathIdx >= b.MaxPaths {
+					if st.pathIdx >= b.MaxPaths {
+						st.stuck = true
+						break
+					}
+					path, ok := st.path(cache, st.pathIdx)
+					if !ok {
 						st.stuck = true
 						break
 					}
@@ -138,14 +174,19 @@ func (b B4) Place(g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	p := NewPlacement(g, m)
 	for i, st := range states {
 		var allocs []PathAlloc
+		// Path-index order, then a stable sort by delay: equal-delay
+		// paths keep their enumeration order, so the output is
+		// deterministic.
 		for idx, quanta := range st.placed {
-			path, _ := st.ksp.At(idx)
+			if quanta == 0 {
+				continue
+			}
+			path, _ := st.path(cache, idx)
 			f := quanta / float64(b.Quanta)
 			if f > fracEps {
 				allocs = append(allocs, PathAlloc{Path: path, Fraction: f})
 			}
 		}
-		// Deterministic order for reproducibility.
 		sortAllocsByDelay(allocs)
 		p.Allocs[i] = allocs
 	}

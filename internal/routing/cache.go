@@ -122,9 +122,9 @@ func (s *SolverCache) ForGraph(g *graph.Graph) *PathCache {
 }
 
 // Place routes one scenario through the shared cache: schemes that can
-// reuse path computations are bound to g's PathCache before placing;
-// schemes that cannot (the greedy allocators, whose masked path lookups
-// are load-dependent) place as-is.
+// reuse path computations (SP, B4, MinMax, LatencyOpt) are bound to g's
+// PathCache before placing; MPLS-TE, whose CSPF lookups are masked by
+// the load placed so far, places as-is.
 func (s *SolverCache) Place(scheme Scheme, g *graph.Graph, m *tm.Matrix) (*Placement, error) {
 	if cs, ok := scheme.(CacheableScheme); ok {
 		scheme = cs.WithPathCache(s.ForGraph(g))

@@ -216,3 +216,15 @@ func BenchmarkLinkBasedMedium(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkB4Place(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	g := randomTopology(rng, 20, 0.2)
+	m := randomMatrix(rng, g, 60, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (B4{}).Place(g, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

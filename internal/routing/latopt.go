@@ -7,9 +7,10 @@ import (
 	"lowlat/internal/tm"
 )
 
-// Compile-time checks: the LP schemes and SP share path computations
+// Compile-time checks: the LP schemes, SP and B4 share path computations
 // through an engine run's SolverCache.
 var (
+	_ CacheableScheme = B4{}
 	_ CacheableScheme = LatencyOpt{}
 	_ CacheableScheme = MinMax{}
 	_ CacheableScheme = SP{}

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math"
-	"sort"
 
 	"lowlat/internal/graph"
 	"lowlat/internal/lp"
@@ -76,7 +75,9 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 	// path delay baseline.
 	norm := 0.0
 	minS := math.Inf(1)
+	spDelays := make([]float64, len(sps))
 	for i, a := range m.Aggregates {
+		spDelays[i] = sps[i].Delay
 		norm += float64(a.Flows) * a.EffectiveWeight() * sps[i].Delay
 		if sps[i].Delay < minS {
 			minS = sps[i].Delay
@@ -140,13 +141,14 @@ func (s *pathSolver) solve(g *graph.Graph, m *tm.Matrix) (*pathSolveResult, erro
 		res := &pathSolveResult{placement: placement, maxOverload: maxOv}
 
 		// Score this round: for the latency objective congestion
-		// dominates; for MinMax the max overload itself is the goal.
+		// dominates; for MinMax the max overload itself is the goal. The
+		// stretch reuses sps, so scoring runs no shortest-path search.
 		var score float64
 		switch s.kind {
 		case kindLatency:
-			score = bigM2*math.Max(maxOv, 1) + placement.LatencyStretch()
+			score = bigM2*math.Max(maxOv, 1) + latencyStretch(placement, spDelays)
 		case kindMinMax:
-			score = bigM2*maxOv + placement.LatencyStretch()
+			score = bigM2*maxOv + latencyStretch(placement, spDelays)
 		}
 		if score < bestObj-1e-9 {
 			bestObj = score
@@ -266,18 +268,22 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 	// O_l is modeled as 1 + o_l with o_l >= 0; only links whose fixed
 	// load already exceeds capacity yield a negative rhs (and hence a
 	// phase-1 artificial).
-	type varRef struct{ agg, path int }
-	buildModel := func(withOmax bool) (*lp.Problem, map[varRef]int, []int) {
+	//
+	// Aggregate i's variables are contiguous: path pi >= 1 is variable
+	// firstVar[i]+pi-1. Variables are created in increasing order, so
+	// each link's coefficient list is sorted by variable, and a
+	// variable's repeated terms on one link are adjacent.
+	buildModel := func(withOmax bool) (*lp.Problem, []int, []int) {
 		prob := lp.NewProblem()
-		varOf := make(map[varRef]int)
-		linkCoeff := make(map[graph.LinkID]map[int]float64) // link -> var -> volume delta
+		firstVar := make([]int, m.Len())
+		linkCoeff := make([][]lp.Term, g.NumLinks()) // link -> var -> volume delta
 		addCoeff := func(lid graph.LinkID, v int, c float64) {
-			mm := linkCoeff[lid]
-			if mm == nil {
-				mm = make(map[int]float64)
-				linkCoeff[lid] = mm
+			ts := linkCoeff[lid]
+			if n := len(ts); n > 0 && ts[n-1].Var == v {
+				ts[n-1].Coeff += c
+				return
 			}
-			mm[v] += c
+			linkCoeff[lid] = append(ts, lp.Term{Var: v, Coeff: c})
 		}
 		for _, i := range multi {
 			a := m.Aggregates[i]
@@ -291,7 +297,9 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 					coeff = 0 // paths are delay-sorted; guard rounding
 				}
 				v := prob.AddVar(0, 1, coeff)
-				varOf[varRef{i, pi}] = v
+				if pi == 1 {
+					firstVar[i] = v
+				}
 				for _, lid := range p.Links {
 					addCoeff(lid, v, a.Volume)
 				}
@@ -305,10 +313,11 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 		}
 
 		var activeLinks []graph.LinkID
-		for lid := range linkCoeff {
-			activeLinks = append(activeLinks, lid)
+		for lid, ts := range linkCoeff {
+			if len(ts) > 0 {
+				activeLinks = append(activeLinks, graph.LinkID(lid))
+			}
 		}
-		sort.Slice(activeLinks, func(a, b int) bool { return activeLinks[a] < activeLinks[b] })
 
 		var ols []int
 		switch s.kind {
@@ -333,11 +342,11 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 				prob.AddConstraint(lp.LE, -fixed[lid]/caps[lid], terms...)
 			}
 		}
-		return prob, varOf, ols
+		return prob, firstVar, ols
 	}
 
-	solveModel := func(withOmax bool) (*lp.Solution, map[varRef]int, []int, error) {
-		prob, varOf, ols := buildModel(withOmax)
+	solveModel := func(withOmax bool) (*lp.Solution, []int, []int, error) {
+		prob, firstVar, ols := buildModel(withOmax)
 		sol, err := prob.Solve()
 		if err != nil {
 			return nil, nil, nil, err
@@ -347,21 +356,21 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 		}
 		s.lpRuns++
 		s.lpPivots += sol.Iterations
-		return sol, varOf, ols, nil
+		return sol, firstVar, ols, nil
 	}
 
 	// First pass without the Omax machinery: when the traffic fits, all
 	// o_l are zero and Omax would be too, so the optimum is identical at
 	// half the rows. Only when overload remains do we re-solve with the
 	// full Figure 12 objective (minimize the maximum overload first).
-	sol, varOf, ols, err := solveModel(false)
+	sol, firstVar, ols, err := solveModel(false)
 	if err != nil {
 		return nil, err
 	}
 	if s.kind == kindLatency {
 		for _, ol := range ols {
 			if sol.X[ol] > 1e-9 {
-				sol, varOf, _, err = solveModel(true)
+				sol, firstVar, _, err = solveModel(true)
 				if err != nil {
 					return nil, err
 				}
@@ -374,7 +383,7 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 		var allocs []PathAlloc
 		moved := 0.0
 		for pi := 1; pi < len(pathSets[i]); pi++ {
-			f := sol.X[varOf[varRef{i, pi}]]
+			f := sol.X[firstVar[i]+pi-1]
 			if f > fracEps {
 				allocs = append(allocs, PathAlloc{Path: pathSets[i][pi], Fraction: f})
 				moved += f
@@ -394,18 +403,13 @@ func (s *pathSolver) solveOnce(g *graph.Graph, m *tm.Matrix, sps []graph.Path,
 	return placement, nil
 }
 
-// capacityRow converts a link's per-variable volume deltas into
-// utilization-unit LP terms plus the overload variable.
-func capacityRow(coeffs map[int]float64, capacity float64, overloadVar int) []lp.Term {
+// capacityRow converts a link's per-variable volume deltas (sorted by
+// variable) into utilization-unit LP terms plus the overload variable.
+func capacityRow(coeffs []lp.Term, capacity float64, overloadVar int) []lp.Term {
 	terms := make([]lp.Term, 0, len(coeffs)+1)
-	vars := make([]int, 0, len(coeffs))
-	for v := range coeffs {
-		vars = append(vars, v)
-	}
-	sort.Ints(vars)
-	for _, v := range vars {
-		if c := coeffs[v]; c != 0 {
-			terms = append(terms, lp.Term{Var: v, Coeff: c / capacity})
+	for _, t := range coeffs {
+		if t.Coeff != 0 {
+			terms = append(terms, lp.Term{Var: t.Var, Coeff: t.Coeff / capacity})
 		}
 	}
 	terms = append(terms, lp.Term{Var: overloadVar, Coeff: -1})

@@ -119,51 +119,76 @@ func (p *Placement) CongestedPairFraction() float64 {
 // (Σ_f d_f / Σ_f d_f,sp with flows weighted by volume). Unplaced volume is
 // excluded from both sums.
 func (p *Placement) LatencyStretch() float64 {
-	num, den := 0.0, 0.0
-	for i, allocs := range p.Allocs {
-		agg := p.TM.Aggregates[i]
-		sp, ok := p.G.ShortestPath(agg.Src, agg.Dst, nil, nil)
-		if !ok {
-			continue
-		}
-		for _, a := range allocs {
-			if a.Fraction < fracEps {
-				continue
-			}
-			num += agg.Volume * a.Fraction * a.Path.Delay
-			den += agg.Volume * a.Fraction * sp.Delay
-		}
-	}
-	if den == 0 {
-		return 1
-	}
-	return num / den
+	return latencyStretch(p, p.shortestDelays())
 }
 
 // MaxStretch returns the maximum over aggregates and used paths of
 // path-delay / shortest-path-delay — the x-axis of Figure 16. Returns
 // +Inf when some traffic is unplaced (the scenario "does not fit").
 func (p *Placement) MaxStretch() float64 {
-	maxS := 1.0
-	for i, allocs := range p.Allocs {
-		if p.Unplaced[i] > fracEps {
+	for _, u := range p.Unplaced {
+		if u > fracEps {
 			return math.Inf(1)
 		}
-		agg := p.TM.Aggregates[i]
-		sp, ok := p.G.ShortestPath(agg.Src, agg.Dst, nil, nil)
-		if !ok || sp.Delay <= 0 {
+	}
+	sp := p.shortestDelays()
+	maxS := 1.0
+	for i, allocs := range p.Allocs {
+		if sp[i] <= 0 || math.IsInf(sp[i], 1) {
 			continue
 		}
 		for _, a := range allocs {
 			if a.Fraction < fracEps {
 				continue
 			}
-			if s := a.Path.Delay / sp.Delay; s > maxS {
+			if s := a.Path.Delay / sp[i]; s > maxS {
 				maxS = s
 			}
 		}
 	}
 	return maxS
+}
+
+// shortestDelays returns every aggregate's unmasked shortest-path delay
+// (0 when src == dst, +Inf when unreachable), running one shortest-path
+// tree per distinct source rather than one search per aggregate.
+func (p *Placement) shortestDelays() []float64 {
+	dists := make([][]float64, p.G.NumNodes())
+	prevs := make([][]graph.LinkID, p.G.NumNodes())
+	out := make([]float64, p.TM.Len())
+	for i, a := range p.TM.Aggregates {
+		if dists[a.Src] == nil {
+			dists[a.Src], prevs[a.Src] = p.G.ShortestPathTree(a.Src, nil, nil)
+		}
+		out[i] = dists[a.Src][a.Dst]
+		if a.Dst != a.Src && prevs[a.Src][a.Dst] == -1 {
+			out[i] = math.Inf(1)
+		}
+	}
+	return out
+}
+
+// latencyStretch is LatencyStretch given each aggregate's shortest-path
+// delay sp[i]; aggregates with an infinite sp (unreachable) are skipped.
+func latencyStretch(p *Placement, sp []float64) float64 {
+	num, den := 0.0, 0.0
+	for i, allocs := range p.Allocs {
+		if math.IsInf(sp[i], 1) {
+			continue
+		}
+		vol := p.TM.Aggregates[i].Volume
+		for _, a := range allocs {
+			if a.Fraction < fracEps {
+				continue
+			}
+			num += vol * a.Fraction * a.Path.Delay
+			den += vol * a.Fraction * sp[i]
+		}
+	}
+	if den == 0 {
+		return 1
+	}
+	return num / den
 }
 
 // TotalUnplacedVolume returns the volume (bits/sec) left unplaced.

@@ -15,24 +15,12 @@ type Scheme interface {
 	Place(g *graph.Graph, m *tm.Matrix) (*Placement, error)
 }
 
-// shortestDelays returns each aggregate's shortest-path delay (S_a in the
-// Figure 12 LP) and the paths themselves.
-func shortestDelays(g *graph.Graph, m *tm.Matrix) ([]graph.Path, error) {
-	paths := make([]graph.Path, m.Len())
-	for i, a := range m.Aggregates {
-		sp, ok := g.ShortestPath(a.Src, a.Dst, nil, nil)
-		if !ok {
-			return nil, errUnroutable(g, a)
-		}
-		paths[i] = sp
-	}
-	return paths, nil
-}
-
-// shortestDelaysCached is shortestDelays through a PathCache, so repeated
-// and concurrent solves on the same topology share the Dijkstra work. The
-// cache's first enumerated path per pair is exactly the unmasked shortest
-// path, so results are identical to the uncached variant.
+// shortestDelaysCached returns each aggregate's shortest path (S_a in the
+// Figure 12 LP is its delay) through a PathCache, so repeated and
+// concurrent solves on the same topology share the Dijkstra work. The
+// cache's first enumerated path per pair is exactly the unmasked
+// shortest path. A self-loop aggregate (which tm.Validate rejects) has no
+// path and is unroutable.
 func shortestDelaysCached(c *PathCache, g *graph.Graph, m *tm.Matrix) ([]graph.Path, error) {
 	paths := make([]graph.Path, m.Len())
 	for i, a := range m.Aggregates {

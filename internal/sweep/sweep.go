@@ -55,12 +55,20 @@ type Placer interface {
 // store.MemoKeyFor so later plans can derive this cell's keys without
 // re-running the calibration solves; generation is deterministic in
 // (graph, seed, load, locality), which is what makes the memo sound.
-func GenerateMatrix(g *graph.Graph, seed int64, load, locality float64, st *store.Store) (*tm.Matrix, error) {
+// When solver is non-nil the calibration solves run on its PathCache for
+// g, so the cells later placed through the same cache start warm; nil
+// calibrates on a private cache.
+func GenerateMatrix(g *graph.Graph, seed int64, load, locality float64, st *store.Store, solver *routing.SolverCache) (*tm.Matrix, error) {
+	var paths *routing.PathCache
+	if solver != nil {
+		paths = solver.ForGraph(g)
+	}
 	res, err := tmgen.Generate(g, tmgen.Config{
 		Seed:          seed,
 		Locality:      locality,
 		NoLocality:    locality == 0,
 		TargetMaxUtil: load,
+		Paths:         paths,
 	})
 	if err != nil {
 		return nil, err
@@ -81,7 +89,7 @@ func GenerateMatrix(g *graph.Graph, seed int64, load, locality float64, st *stor
 // the store-aware planner instead, which consults the calibration memo
 // to skip regeneration for fully-stored groups.
 func Plan(ctx context.Context, grid Grid, workers int) ([]Cell, error) {
-	cells, _, err := planWithStore(ctx, grid, workers, nil, false)
+	cells, _, err := planWithStore(ctx, grid, workers, nil, false, routing.NewSolverCache())
 	return cells, err
 }
 
@@ -103,8 +111,9 @@ type planStats struct {
 // recomputing), the group's cells are planned with a nil Scenario.Matrix
 // — they can never reach the engine, so the matrix is dead weight. Any
 // group with a memo miss or a missing cell regenerates its matrix (and
-// refreshes the memo). Cell order is identical either way.
-func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store, skipStored bool) ([]Cell, planStats, error) {
+// refreshes the memo). Cell order is identical either way. Calibration
+// runs on solver's per-graph path caches.
+func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store, skipStored bool, solver *routing.SolverCache) ([]Cell, planStats, error) {
 	var stats planStats
 	grid = grid.withDefaults()
 	if err := grid.validate(); err != nil {
@@ -173,7 +182,7 @@ func planWithStore(ctx context.Context, grid Grid, workers int, st *store.Store,
 	gen, err := engine.Map(ctx, workers, genJobs,
 		func(_ context.Context, _ int, ji int) (*tm.Matrix, error) {
 			j := jobs[ji]
-			m, err := GenerateMatrix(nets[j.net].Graph, j.seed, grid.Load, grid.Locality, st)
+			m, err := GenerateMatrix(nets[j.net].Graph, j.seed, grid.Load, grid.Locality, st, solver)
 			if err != nil {
 				return nil, fmt.Errorf("%s seed %d: %w", nets[j.net].Name, j.seed, err)
 			}
@@ -308,7 +317,10 @@ type Options struct {
 // landed results were persisted, so a rerun resumes instead of starting
 // over.
 func Run(ctx context.Context, st *store.Store, grid Grid, opts Options) (*Report, error) {
-	cells, stats, err := planWithStore(ctx, grid, opts.Workers, st, !opts.Recompute)
+	// One solver cache from calibration to cell: planning's calibration
+	// solves enumerate the very paths the in-process solves reuse.
+	cache := routing.NewSolverCache()
+	cells, stats, err := planWithStore(ctx, grid, opts.Workers, st, !opts.Recompute, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +380,6 @@ func Run(ctx context.Context, st *store.Store, grid Grid, opts Options) (*Report
 			return res, nil
 		}
 	} else {
-		cache := engine.NewRunner(opts.Workers).Cache()
 		place = func(ctx context.Context, _ int, c Cell) (store.Result, error) {
 			if opts.OnPlace != nil {
 				opts.OnPlace(c)

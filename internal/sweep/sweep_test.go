@@ -267,7 +267,7 @@ func TestMemoSkipsRegeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memoed, stats, err := planWithStore(ctx, grid, 1, st, true)
+	memoed, stats, err := planWithStore(ctx, grid, 1, st, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

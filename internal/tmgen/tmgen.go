@@ -40,6 +40,13 @@ type Config struct {
 	// FlowsPerGbps sets the aggregate flow counts n_a (default 1000,
 	// i.e. one flow per Mbps), proportional to volume.
 	FlowsPerGbps float64
+	// Paths optionally shares k-shortest-path state for the graph with
+	// other solves on it (a sweep hands in its SolverCache's entry, so a
+	// cell's solve reuses the paths its matrix's calibration found). Nil
+	// gives Generate a private cache, still shared across its
+	// calibration rounds. Paths are deterministic per pair, so the
+	// matrix is the same either way.
+	Paths *routing.PathCache
 }
 
 func (c Config) withDefaults() Config {
@@ -132,10 +139,14 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 	// solver's termination point is not perfectly scale-invariant, so we
 	// calibrate to a fixed point of the solver actually used everywhere
 	// else in the reproduction.
+	paths := cfg.Paths
+	if paths == nil {
+		paths = routing.NewPathCache(g)
+	}
 	scale := 1.0
 	measured := 0.0
 	for round := 0; round < 5; round++ {
-		_, mmStats, err := (routing.MinMax{}).PlaceWithStats(g, unit.Scale(scale))
+		_, mmStats, err := (routing.MinMax{Cache: paths}).PlaceWithStats(g, unit.Scale(scale))
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +178,11 @@ func Generate(g *graph.Graph, cfg Config) (*Result, error) {
 }
 
 // GenerateSet produces count independent matrices (seeds Seed, Seed+1, ...).
+// Without cfg.Paths, the set shares one private path cache.
 func GenerateSet(g *graph.Graph, cfg Config, count int) ([]*tm.Matrix, error) {
+	if cfg.Paths == nil {
+		cfg.Paths = routing.NewPathCache(g)
+	}
 	out := make([]*tm.Matrix, 0, count)
 	for i := 0; i < count; i++ {
 		c := cfg

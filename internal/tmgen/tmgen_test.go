@@ -242,3 +242,23 @@ func TestGenerateTooSmall(t *testing.T) {
 		t.Fatal("expected error for single-node graph")
 	}
 }
+
+// BenchmarkTmgenGenerate calibrates one matrix per op: the locality LP
+// plus the MinMax calibration rounds.
+func BenchmarkTmgenGenerate(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"small", topo.Ring("ring-12", 12, 800, topo.Cap10G)},
+		{"medium", topo.Grid("grid-4x4", 4, 4, 650, topo.Cap10G)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(bc.g, Config{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

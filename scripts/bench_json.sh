@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Runs the CI benchmark subset (the landscape sweep, the dynamics
-# timelines, and the predictive-vs-exact place pair that tracks the fast
-# path's speedup claim) once each and converts the `go test -bench`
-# output into a flat JSON object mapping benchmark name -> ns/op,
+# timelines, the predictive-vs-exact place pair that tracks the fast
+# path's speedup claim, and the solve-path layer rungs) and converts the
+# `go test -bench` output into a flat JSON object mapping benchmark
+# name -> ns/op,
 # written to $1 (default BENCH_ci.json). CI archives the file on every
 # push so the repository accumulates a perf trajectory; `make bench`
 # produces the same file locally, and each PR checks in a snapshot as
@@ -27,6 +28,16 @@ go test -run NONE -bench 'Landscape|Dynamics|PredictivePlace|ExactPlace' -bencht
 # never block on, tracked for trajectory only.
 go test -run NONE -bench 'HistogramRecord|WindowedRecord' -benchtime 200000x ./internal/obs >> "$tmp"
 go test -run NONE -bench 'WindowRotate' -benchtime 20000x ./internal/obs >> "$tmp"
+
+# The solve-path layers a computed cell is made of: one Dijkstra tree,
+# one 10-path KSP enumeration, one tableau build, one B4 waterfill, one
+# LatencyOpt solve and one calibrated matrix (a small and a medium net).
+# Each runs at a fixed iteration count of a few tenths of a second.
+go test -run NONE -bench '^BenchmarkShortestPathTree$' -benchtime 50000x ./internal/graph >> "$tmp"
+go test -run NONE -bench '^BenchmarkKSPGrid$' -benchtime 500x ./internal/graph >> "$tmp"
+go test -run NONE -bench '^BenchmarkNewSimplex$' -benchtime 2000x ./internal/lp >> "$tmp"
+go test -run NONE -bench '^BenchmarkB4Place$|^BenchmarkLatencyOptMedium$' -benchtime 500x ./internal/routing >> "$tmp"
+go test -run NONE -bench '^BenchmarkTmgenGenerate$' -benchtime 10x ./internal/tmgen >> "$tmp"
 cat "$tmp"
 
 awk '
